@@ -10,11 +10,20 @@
 //! test with an exact count (the lint rule D007 catches the same class
 //! statically by call-graph reachability; this is the dynamic proof).
 
+use std::sync::{Mutex, PoisonError};
+
 use rcast_bench::alloc_probe;
 use rcast_core::{Scheme, SimConfig, Simulation};
 
 #[global_allocator]
 static PROBE: rcast_bench::AllocProbe = rcast_bench::AllocProbe::new();
+
+/// The probe's counter is process-wide and the harness runs tests
+/// concurrently, so one test's set-up would land in another's
+/// measurement window. Each simulation holds this lock from
+/// construction to its last interval. A failed test poisons it; the
+/// others still measure, so take the guard regardless.
+static MEASURING: Mutex<()> = Mutex::new(());
 
 /// A quiet steady state: static nodes (a pause longer than the run) and
 /// one almost-silent flow (traffic validation requires >= 1 flow, and a
@@ -32,6 +41,7 @@ fn quiet_config() -> SimConfig {
 /// Runs the second half of a quiet simulation under the probe and
 /// returns the allocation count over those steady-state intervals.
 fn steady_state_allocs(cfg: SimConfig) -> u64 {
+    let _exclusive = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let mut sim = Simulation::new(cfg).expect("valid config");
     let total = 480u64; // 120 s at 250 ms beacons.
 

@@ -167,8 +167,6 @@ struct Scratch {
     /// Fan-out buffer for the immediate (active-mode) channel path —
     /// holds one transmission's recipients/overhearers at a time.
     imm_fanout: Vec<NodeId>,
-    /// Per-shard link-churn counts for the sharded neighbor scan.
-    churn: Vec<Vec<usize>>,
     /// `committed_awake` substitute for the non-PSM (802.11) path: every
     /// node awake for the full beacon interval. Built once.
     flat_committed: Vec<SimDuration>,
@@ -182,8 +180,8 @@ struct Scratch {
 /// per-state energy-seconds lanes and the battery lanes, each one flat
 /// array indexed by node id.
 ///
-/// The interval phases walk nodes in index order (serially or in
-/// contiguous shards); holding this state as lanes instead of
+/// The interval phases walk nodes in index order; holding
+/// this state as lanes instead of
 /// per-node structs (`Vec<EnergyMeter>` + `Vec<Battery>` + `Vec<bool>`)
 /// turns the energy integration, fault scan and battery drain into
 /// sequential streams over small contiguous arrays. The arithmetic
@@ -325,9 +323,6 @@ pub struct Simulation {
     /// Incrementally maintained neighbor index (current + previous
     /// table, double-buffered).
     neighbors: NeighborIndex,
-    /// Intra-interval shard pool: width 1 (the default) is the serial
-    /// path; [`set_shard_width`](Self::set_shard_width) widens it.
-    pool: rcast_engine::pool::ScopedPool,
     scratch: Scratch,
     /// The next beacon interval to execute.
     k: u64,
@@ -411,7 +406,6 @@ impl Simulation {
             fault_counters: FaultCounters::default(),
             snap,
             neighbors,
-            pool: rcast_engine::pool::ScopedPool::new(1),
             scratch,
             k: 0,
             next_arrival,
@@ -423,24 +417,6 @@ impl Simulation {
     /// The configuration driving this run.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Sets the intra-interval shard width: how many node shards the
-    /// MAC resolver's prepass/post-pass and the neighbor-churn scan are
-    /// split into. Runtime-only — it is deliberately *not* part of
-    /// [`SimConfig`], because results are byte-identical at every width
-    /// (the shard merge re-serializes in canonical node/delivery
-    /// order); only wall-clock time changes. Width 1 (the default) is
-    /// the plain serial path.
-    pub fn set_shard_width(&mut self, width: usize) {
-        let width = width.max(1);
-        self.pool = rcast_engine::pool::ScopedPool::new(width);
-        self.mac.set_shard_width(width);
-    }
-
-    /// The current intra-interval shard width.
-    pub fn shard_width(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Runs the simulation to completion and reports.
@@ -477,53 +453,21 @@ impl Simulation {
             self.apply_faults(t, &mut neighbors, &mut obs);
         }
         if k > 0 {
-            // The per-node link-churn scan is pure reads over the
-            // double-buffered tables; shard it, then feed the decider
-            // serially in node order so its state evolves identically
-            // at every width.
+            // Feed the decider each node's link churn in node order.
             // Carried-forward lists (no refill, no fault mutation) have
             // zero churn by construction, so the symmetric-difference
             // merge runs only for lists that actually changed — the
             // decider still sees every node (its EWMA decays on 0).
-            let shards = self.pool.threads().min(n.max(1));
-            if shards <= 1 {
-                for i in 0..n {
-                    let id = NodeId::new(i as u32);
-                    let changes = if neighbors.carried_forward(id) {
-                        0
-                    } else {
-                        neighbors
-                            .current()
-                            .link_changes_since(neighbors.previous(), id)
-                    };
-                    self.rcast.note_link_changes(id, changes);
-                }
-            } else {
-                let chunk = n.div_ceil(shards).max(1);
-                scratch.churn.resize_with(shards, Vec::new);
-                let nidx = &neighbors;
-                let (cur, prev) = (neighbors.current(), neighbors.previous());
-                self.pool.map_shards(&mut scratch.churn, |s, lane| {
-                    lane.clear();
-                    let lo = (s * chunk).min(n);
-                    let hi = ((s + 1) * chunk).min(n);
-                    for i in lo..hi {
-                        let id = NodeId::new(i as u32);
-                        lane.push(if nidx.carried_forward(id) {
-                            0
-                        } else {
-                            cur.link_changes_since(prev, id)
-                        });
-                    }
-                });
-                let mut i = 0u32;
-                for lane in &scratch.churn {
-                    for &changes in lane {
-                        self.rcast.note_link_changes(NodeId::new(i), changes);
-                        i += 1;
-                    }
-                }
-                debug_assert_eq!(i as usize, n);
+            for i in 0..n {
+                let id = NodeId::new(i as u32);
+                let changes = if neighbors.carried_forward(id) {
+                    0
+                } else {
+                    neighbors
+                        .current()
+                        .link_changes_since(neighbors.previous(), id)
+                };
+                self.rcast.note_link_changes(id, changes);
             }
         }
         let nt = neighbors.current();
@@ -1284,19 +1228,6 @@ impl Simulation {
 /// Returns the configuration error, if any.
 pub fn run_sim(cfg: SimConfig) -> Result<SimReport, String> {
     Ok(Simulation::new(cfg)?.run())
-}
-
-/// Builds and runs one simulation with the interval sharded across
-/// `width` workers ([`Simulation::set_shard_width`]). The report is
-/// byte-identical at any width; only wall-clock time changes.
-///
-/// # Errors
-///
-/// Returns the configuration error, if any.
-pub fn run_sim_with_width(cfg: SimConfig, width: usize) -> Result<SimReport, String> {
-    let mut sim = Simulation::new(cfg)?;
-    sim.set_shard_width(width);
-    Ok(sim.run())
 }
 
 /// Runs the same configuration under `seeds` different seeds, serially.

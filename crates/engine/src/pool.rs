@@ -129,88 +129,6 @@ impl ScopedPool {
             .collect()
     }
 
-    /// Runs `f(shard_index, &mut lane)` once per lane, in parallel,
-    /// mutating each lane in place. This is the *intra-run* sibling of
-    /// [`map`](Self::map): instead of fanning out whole simulations, a
-    /// single simulation splits one interval's node-indexed work into
-    /// `lanes.len()` shards, each shard writes only into its own lane,
-    /// and the caller merges lanes serially in shard order afterwards.
-    ///
-    /// Determinism: `f` must derive everything it writes from
-    /// `shard_index` plus captured immutable state (`F: Fn(..) + Sync`
-    /// and `&mut`-disjoint lanes enforce the no-shared-writes part at
-    /// compile time, up to interior mutability — rcast-lint D008 walks
-    /// these closures). Under that contract the lane contents are a pure
-    /// function of the shard index, so the merged result is identical
-    /// for any thread count — the differential tests in
-    /// `crates/core/tests/parallel_interval.rs` pin this byte-for-byte.
-    ///
-    /// Shard *count* is chosen by the caller via `lanes.len()` and is
-    /// what fixes the output layout; this pool only decides how many OS
-    /// threads service the lanes, which is invisible to the result. The
-    /// servicing width is clamped to `[1, lanes.len()]` and additionally
-    /// capped at the machine's available parallelism (floor two, so any
-    /// requested width above one still exercises the real cross-thread
-    /// path): unlike [`map`](Self::map)'s minutes-long simulation runs,
-    /// shard passes live inside a 250 ms-interval hot loop where
-    /// oversubscribed threads are pure spawn overhead. Width 1
-    /// short-circuits to a plain serial loop with zero allocations,
-    /// which keeps the quiet-interval zero-alloc contract intact at the
-    /// default width.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `f` when the scope joins.
-    pub fn map_shards<S, F>(&self, lanes: &mut [S], f: F)
-    where
-        S: Send,
-        F: Fn(usize, &mut S) + Sync,
-    {
-        let n = lanes.len();
-        // Serial short-circuit first: width-1 pools must not even probe
-        // the machine (the probe reads cgroup files, which allocates —
-        // it would break the quiet-interval zero-alloc contract).
-        if self.threads.min(n) <= 1 {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                f(i, lane);
-            }
-            return;
-        }
-        let width = self.threads.min(n).min(available_threads().max(2));
-
-        // Each slot wraps a disjoint `&mut` borrow and is taken exactly
-        // once by the worker that claims its index off the cursor.
-        let slots: Vec<Mutex<Option<&mut S>>> =
-            lanes.iter_mut().map(|l| Mutex::new(Some(l))).collect();
-        let cursor = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..width)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let lane = slots[i]
-                            .lock()
-                            .expect("shard slot poisoned")
-                            .take()
-                            .expect("each shard is claimed once");
-                        f(i, lane);
-                    })
-                })
-                .collect();
-            // Join explicitly so a worker's panic payload reaches the
-            // caller verbatim (scope's implicit join would replace it).
-            for w in workers {
-                if let Err(payload) = w.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-    }
-
     /// Applies `f` across the whole `outer × inner` grid — every
     /// `(cell, repeat)` pair is one unit of work claimed from a single
     /// shared cursor, so workers steal across *cells*, not just within
@@ -246,22 +164,12 @@ impl ScopedPool {
 }
 
 /// The machine's available parallelism, defaulting to 1 when unknown.
-///
-/// Probed once and cached: the std probe reads cgroup quota files on
-/// Linux (open/parse/allocate), far too heavy for the per-interval shard
-/// passes that consult this on every call.
+/// The std probe reads cgroup quota files on Linux, so callers probe
+/// once per command, not per item.
 pub fn available_threads() -> usize {
-    static CACHED: AtomicUsize = AtomicUsize::new(0);
-    match CACHED.load(Ordering::Relaxed) {
-        0 => {
-            let probed = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            CACHED.store(probed, Ordering::Relaxed);
-            probed
-        }
-        cached => cached,
-    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -374,85 +282,6 @@ mod tests {
         });
         assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 35);
         assert_eq!(calls.load(Ordering::Relaxed), 35);
-    }
-
-    #[test]
-    fn map_shards_matches_the_serial_loop() {
-        let run = |threads: usize| {
-            let mut lanes: Vec<Vec<u64>> = vec![Vec::new(); 8];
-            ScopedPool::new(threads).map_shards(&mut lanes, |shard, lane| {
-                for k in 0..=(shard as u64) {
-                    lane.push(shard as u64 * 100 + k);
-                }
-            });
-            lanes
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(run(threads), serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn map_shards_reuses_lane_capacity_serially() {
-        // Width 1 must not allocate: lanes are cleared, not rebuilt.
-        let mut lanes: Vec<Vec<u32>> = (0..4).map(|_| Vec::with_capacity(16)).collect();
-        let caps: Vec<usize> = lanes.iter().map(Vec::capacity).collect();
-        ScopedPool::new(1).map_shards(&mut lanes, |shard, lane| {
-            lane.clear();
-            lane.push(shard as u32);
-        });
-        assert_eq!(
-            lanes.iter().map(Vec::capacity).collect::<Vec<_>>(),
-            caps,
-            "serial shard pass must reuse lane storage"
-        );
-    }
-
-    #[test]
-    fn map_shards_degenerate_shapes() {
-        let pool = ScopedPool::new(4);
-        let mut empty: Vec<u8> = Vec::new();
-        pool.map_shards(&mut empty, |_, _| unreachable!());
-        let mut one = [0u32];
-        pool.map_shards(&mut one, |shard, lane| *lane = shard as u32 + 7);
-        assert_eq!(one, [7]);
-    }
-
-    #[test]
-    fn map_shards_claims_every_lane_once() {
-        let calls = AtomicU32::new(0);
-        let mut lanes = vec![0u8; 23];
-        ScopedPool::new(8).map_shards(&mut lanes, |_, lane| {
-            // det: shared-ok — commutative counter: the test asserts coverage, not order
-            calls.fetch_add(1, Ordering::Relaxed);
-            *lane += 1;
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 23);
-        assert!(lanes.iter().all(|&l| l == 1));
-    }
-
-    #[test]
-    fn map_shards_spawns_real_threads_at_width_above_one() {
-        // The differential suite relies on width > 1 exercising the
-        // threaded path even on a single-core machine.
-        let main_id = std::thread::current().id();
-        let mut seen = vec![None; 4];
-        ScopedPool::new(4).map_shards(&mut seen, |_, lane| {
-            *lane = Some(std::thread::current().id());
-        });
-        assert!(seen.iter().all(|id| id.is_some_and(|id| id != main_id)));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard boom")]
-    fn map_shards_panics_propagate() {
-        let mut lanes = vec![0u8; 2];
-        ScopedPool::new(2).map_shards(&mut lanes, |shard, _| {
-            if shard == 1 {
-                panic!("shard boom");
-            }
-        });
     }
 
     #[test]

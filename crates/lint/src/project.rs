@@ -24,8 +24,11 @@ pub const SIM_CRATES: &[&str] = &[
 pub const WALL_CLOCK_ALLOWED: &[&str] = &["bench", "testkit"];
 
 /// Directory names never descended into. `fixtures` holds the linter's
-/// own deliberately-violating test inputs.
-const SKIP_DIRS: &[&str] = &["target", "fixtures", ".git", ".claude"];
+/// own deliberately-violating test inputs. `benchmark` is a separate
+/// Cargo workspace (a timing harness that reads the wall clock by
+/// design), not a member of this one; walked, its files would be filed
+/// under the `randomcast` facade crate.
+const SKIP_DIRS: &[&str] = &["target", "fixtures", "benchmark", ".git", ".claude"];
 
 /// Which target a file belongs to within its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,5 +173,26 @@ mod tests {
         assert!(!facade.is_sim_crate());
         assert_eq!(classify("src/bin/rcast.rs").kind, FileKind::Bin);
         assert_eq!(classify("examples/quickstart.rs").kind, FileKind::Example);
+    }
+
+    #[test]
+    fn collect_rust_files_skips_build_output_fixtures_and_the_benchmark() {
+        let root = std::env::temp_dir().join(format!("rcast-lint-walk-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for file in [
+            "src/lib.rs",
+            "crates/mac/src/lib.rs",
+            "crates/lint/tests/fixtures/d001.rs",
+            "benchmark/src/main.rs",
+            "target/debug/build/out.rs",
+            ".claude/notes.rs",
+        ] {
+            let path = root.join(file);
+            fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+            fs::write(&path, "fn f() {}\n").expect("write");
+        }
+        let files = collect_rust_files(&root).expect("walk");
+        fs::remove_dir_all(&root).expect("clean up");
+        assert_eq!(files, ["crates/mac/src/lib.rs", "src/lib.rs"]);
     }
 }

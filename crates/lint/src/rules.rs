@@ -137,11 +137,10 @@ const D008_METHODS: &[&str] = &[
 /// Float-reduction method names D009 watches.
 const REDUCE_METHODS: &[&str] = &["sum", "product", "fold"];
 
-/// Pool methods whose argument list is a parallel seam. `map_grid` and
-/// `map_shards` are unambiguous; `run` and `map` additionally require a
-/// pool-shaped receiver (see [`pool_receiver`]) so iterator `map` stays
-/// untouched.
-const POOL_METHODS: &[&str] = &["run", "map", "map_grid", "map_shards"];
+/// Pool methods whose argument list is a parallel seam. `map_grid` is
+/// unambiguous; `run` and `map` additionally require a pool-shaped
+/// receiver (see [`pool_receiver`]) so iterator `map` stays untouched.
+const POOL_METHODS: &[&str] = &["run", "map", "map_grid"];
 
 /// Per-file line facts needed for pragma resolution.
 struct LineFacts {

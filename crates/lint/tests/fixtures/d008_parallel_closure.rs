@@ -22,13 +22,6 @@ fn grids(jobs: &[u32]) {
     });
 }
 
-fn shards(lanes: &mut [u32]) {
-    let merged = AtomicU32::new(0);
-    ScopedPool::new(4).map_shards(lanes, |shard, lane| {
-        merged.fetch_add(*lane + shard as u32, Ordering::Relaxed);
-    });
-}
-
 fn fine(xs: &[u32]) -> Vec<u32> {
     // Iterator `map` is not a pool seam: no findings here.
     xs.iter().map(|x| x + 1).collect()

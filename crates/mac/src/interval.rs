@@ -27,7 +27,6 @@
 //! energy layer can integrate `P_awake × awake + P_sleep × sleep` —
 //! exactly the arithmetic the paper uses in Figure 5.
 
-use rcast_engine::pool::ScopedPool;
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::NeighborTable;
@@ -46,8 +45,8 @@ use crate::wake::{PowerMode, WakePolicy};
 /// `start`, immediately followed by `overhearers` node ids.
 ///
 /// Keeping ranges instead of per-delivery `Vec`s removes two heap
-/// allocations per delivered frame from the hot loop and lets the
-/// sharded post-pass assemble all fanouts into one flat buffer.
+/// allocations per delivered frame from the hot loop: every fanout of
+/// the interval lives in one flat, reused buffer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fanout {
     /// First index of this delivery's span in the fanout buffer.
@@ -224,7 +223,6 @@ pub struct MacLayer<P> {
     rng: StreamRng,
     counters: MacCounters,
     scratch: IntervalScratch,
-    pool: ScopedPool,
 }
 
 /// One announced (acknowledged) advertisement awaiting its data phase.
@@ -250,41 +248,17 @@ struct IntervalScratch {
     atim_budget: AirtimeBudget,
     data_budget: AirtimeBudget,
     affected: Vec<NodeId>,
-    prepass: Vec<PrepassLane>,
-    merge: Vec<MergeLane>,
-}
-
-/// One shard's output of the ATIM prepass: the per-node destination
-/// lists and advertised levels, read off the queues before phase 1
-/// mutates them. Both are pure queue reads, so shards can scan node
-/// ranges concurrently; phase 1 then consumes the lanes in shard order,
-/// which is node order for contiguous chunks.
-#[derive(Debug, Clone, Default)]
-struct PrepassLane {
     /// Per-node scratch for `destinations_into`.
     dests: Vec<Destination>,
-    /// `(sender, dest, strongest advertised level)` candidates.
-    out: Vec<(NodeId, Destination, Option<OverhearingLevel>)>,
-}
-
-/// One shard's output of the fanout/energy post-pass: concatenated
-/// recipient+overhearer ids with per-delivery counts for a contiguous
-/// delivery range, plus committed-awake durations for a contiguous node
-/// range. Everything here is a pure function of post-phase-2 `awake`
-/// and post-phase-3 doze bookkeeping, so shards run concurrently and
-/// the serial merge reassembles canonical order.
-#[derive(Debug, Clone, Default)]
-struct MergeLane {
-    fanout: Vec<NodeId>,
-    counts: Vec<(u32, u32)>,
-    committed: Vec<SimDuration>,
+    /// The ATIM prepass's `(sender, dest, strongest advertised level)`
+    /// candidates, in node order.
+    candidates: Vec<(NodeId, Destination, Option<OverhearingLevel>)>,
 }
 
 /// Appends `d`'s recipients-then-overhearers to `buf`; returns the
 /// `(recipients, overhearers)` counts. Pure in `awake`, which is final
 /// once phase 2 ends — phase 3 only advances doze bookkeeping — so the
-/// fanout can be resolved after the data phase, serially or sharded,
-/// with identical bytes.
+/// fanout can be resolved after the data phase, in on-air order.
 fn delivery_fanout<P>(
     d: &Delivery<P>,
     nt: &NeighborTable,
@@ -318,28 +292,6 @@ fn delivery_fanout<P>(
     }
 }
 
-/// Node `i`'s PSM-committed radio-on time for the interval — the
-/// doze-bookkeeping integration, pure in the final phase-3 state.
-#[allow(clippy::too_many_arguments)]
-fn committed_duration(
-    i: usize,
-    committed: &[bool],
-    full_wake: &[bool],
-    doze_at: &[SimTime],
-    start: SimTime,
-    aw: SimDuration,
-    bi: SimDuration,
-    doze_after_transfer: bool,
-) -> SimDuration {
-    if !committed[i] {
-        aw
-    } else if full_wake[i] || !doze_after_transfer {
-        bi
-    } else {
-        (doze_at[i] - start).max(aw).min(bi)
-    }
-}
-
 impl<P> MacLayer<P> {
     /// Creates the MAC for `n` nodes.
     ///
@@ -358,23 +310,7 @@ impl<P> MacLayer<P> {
             rng,
             counters: MacCounters::default(),
             scratch: IntervalScratch::default(),
-            pool: ScopedPool::new(1),
         }
-    }
-
-    /// Sets how many shards interval resolution splits its node-indexed
-    /// prepass and fanout post-pass into (and up to as many worker
-    /// threads). Width 1 — the default — is the fully serial,
-    /// zero-allocation path; any width produces byte-identical
-    /// outcomes, so this is purely a throughput knob and deliberately
-    /// *not* part of [`MacConfig`] (scenario hashing must not see it).
-    pub fn set_shard_width(&mut self, width: usize) {
-        self.pool = ScopedPool::new(width);
-    }
-
-    /// The configured shard width.
-    pub fn shard_width(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The MAC configuration.
@@ -497,10 +433,7 @@ impl<P> MacLayer<P> {
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
-    ) -> IntervalOutcome<P>
-    where
-        P: Sync,
-    {
+    ) -> IntervalOutcome<P> {
         let mut out = IntervalOutcome::default();
         self.run_interval_into(start, nt, policy, &mut out);
         out
@@ -518,9 +451,7 @@ impl<P> MacLayer<P> {
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
         out: &mut IntervalOutcome<P>,
-    ) where
-        P: Sync,
-    {
+    ) {
         self.run_interval_observed(start, nt, policy, out, &mut NullMacObserver);
     }
 
@@ -535,9 +466,7 @@ impl<P> MacLayer<P> {
         policy: &mut dyn WakePolicy,
         out: &mut IntervalOutcome<P>,
         obs: &mut dyn MacObserver,
-    ) where
-        P: Sync,
-    {
+    ) {
         let n = self.queues.len();
         debug_assert_eq!(nt.len(), n, "neighbor table size mismatch");
 
@@ -546,13 +475,6 @@ impl<P> MacLayer<P> {
         let failures = &mut out.failures;
         deliveries.clear();
         failures.clear();
-
-        // Shard geometry: the prepass and post-pass chunk nodes (and
-        // deliveries) into `shards` contiguous ascending ranges, so
-        // consuming lanes in shard order is index order and the result
-        // is byte-identical for every width.
-        let shards = self.pool.threads().min(n.max(1));
-        let node_chunk = n.div_ceil(shards.max(1)).max(1);
 
         // Working state lives on `self` between intervals; detach it so
         // the resolver can borrow queues/counters/rng freely.
@@ -585,35 +507,26 @@ impl<P> MacLayer<P> {
         }
         let affected = &mut scr.affected;
 
-        // ---- Prepass: per-node advertisement candidates (sharded) ------
+        // ---- Prepass: per-node advertisement candidates ---------------
         // `destinations_into` and `strongest_level_for` are pure reads
         // of one node's queue; phase 1 only mutates the queue of the
         // node it is processing, and evicting one destination's frames
         // never changes another destination's strongest level. So the
-        // candidate lists can be read off the queues up front, shard-
-        // parallel, without changing a byte of phase 1's behavior.
-        scr.prepass.resize_with(shards, PrepassLane::default);
-        {
-            let queues = &self.queues;
-            let pending = &self.pending;
-            self.pool.map_shards(&mut scr.prepass, |s, lane| {
-                lane.out.clear();
-                let lo = (s * node_chunk).min(n);
-                let hi = ((s + 1) * node_chunk).min(n);
-                for (i, q) in queues[lo..hi].iter().enumerate() {
-                    // Idle nodes emit no candidates; the pending lane
-                    // lets the scan skip them without touching the
-                    // queue's storage at all.
-                    if !pending[lo + i] {
-                        continue;
-                    }
-                    let sender = NodeId::new((lo + i) as u32);
-                    q.destinations_into(&mut lane.dests);
-                    for &dest in lane.dests.iter() {
-                        lane.out.push((sender, dest, q.strongest_level_for(dest)));
-                    }
-                }
-            });
+        // candidate list can be read off the queues up front without
+        // changing a byte of phase 1's behavior.
+        let candidates = &mut scr.candidates;
+        candidates.clear();
+        for (i, q) in self.queues.iter().enumerate() {
+            // Idle nodes emit no candidates; the pending lane lets the
+            // scan skip them without touching the queue's storage.
+            if !self.pending[i] {
+                continue;
+            }
+            let sender = NodeId::new(i as u32);
+            q.destinations_into(&mut scr.dests);
+            for &dest in scr.dests.iter() {
+                candidates.push((sender, dest, q.strongest_level_for(dest)));
+            }
         }
 
         // ---- Phase 1: ATIM window -------------------------------------
@@ -624,94 +537,92 @@ impl<P> MacLayer<P> {
         let announcements = &mut scr.announcements;
         announcements.clear();
 
-        for lane in scr.prepass.iter() {
-            for &(sender, dest, advertised) in lane.out.iter() {
-                let i = sender.index();
-                match dest {
-                    Destination::Broadcast => {
-                        Self::affected_broadcast_into(nt, sender, affected);
-                        if atim_budget
-                            .try_reserve(affected.iter().copied(), atim_bc)
-                            .is_some()
-                        {
-                            self.counters.atim_broadcast += 1;
-                            obs.atim_broadcast(start, sender);
-                            awake[i] = true;
-                            committed[i] = true;
-                            full_wake[i] = true;
-                            let level = advertised.unwrap_or(OverhearingLevel::Unconditional);
-                            for &x in nt.neighbors(sender) {
-                                // Standard PSM commits every neighbor to
-                                // the broadcast; the randomized level is
-                                // the paper's broadcast-Rcast extension.
-                                if level == OverhearingLevel::Randomized {
-                                    if !awake[x.index()]
-                                        && policy.overhear_broadcast(x, sender, nt)
-                                    {
-                                        awake[x.index()] = true;
-                                        committed[x.index()] = true;
-                                        full_wake[x.index()] = true;
-                                    }
-                                } else {
+        for &(sender, dest, advertised) in candidates.iter() {
+            let i = sender.index();
+            match dest {
+                Destination::Broadcast => {
+                    Self::affected_broadcast_into(nt, sender, affected);
+                    if atim_budget
+                        .try_reserve(affected.iter().copied(), atim_bc)
+                        .is_some()
+                    {
+                        self.counters.atim_broadcast += 1;
+                        obs.atim_broadcast(start, sender);
+                        awake[i] = true;
+                        committed[i] = true;
+                        full_wake[i] = true;
+                        let level = advertised.unwrap_or(OverhearingLevel::Unconditional);
+                        for &x in nt.neighbors(sender) {
+                            // Standard PSM commits every neighbor to
+                            // the broadcast; the randomized level is
+                            // the paper's broadcast-Rcast extension.
+                            if level == OverhearingLevel::Randomized {
+                                if !awake[x.index()]
+                                    && policy.overhear_broadcast(x, sender, nt)
+                                {
                                     awake[x.index()] = true;
                                     committed[x.index()] = true;
                                     full_wake[x.index()] = true;
                                 }
+                            } else {
+                                awake[x.index()] = true;
+                                committed[x.index()] = true;
+                                full_wake[x.index()] = true;
                             }
-                            announcements.push(Announcement {
-                                sender,
-                                dest,
-                                level,
-                            });
-                        } else {
-                            self.counters.atim_deferred += 1;
-                            obs.atim_deferred(start, sender);
                         }
+                        announcements.push(Announcement {
+                            sender,
+                            dest,
+                            level,
+                        });
+                    } else {
+                        self.counters.atim_deferred += 1;
+                        obs.atim_deferred(start, sender);
                     }
-                    Destination::Unicast(r) => {
-                        if !nt.are_neighbors(sender, r) {
-                            // No ATIM-ACK: the receiver moved away.
-                            self.counters.atim_no_ack += 1;
-                            obs.atim_no_ack(start, sender, r);
-                            let attempts = self.queues[i].bump_attempts_for(dest);
-                            if attempts >= self.cfg.atim_retry_limit {
-                                self.counters.link_failures += 1;
-                                let fail_at = start + self.cfg.atim_window;
-                                obs.link_broken(fail_at, sender, r);
-                                self.queues[i].remove_all_for_with(dest, |q| {
-                                    failures.push(LinkFailure {
-                                        sender,
-                                        receiver: r,
-                                        at: fail_at,
-                                        frame: q.frame,
-                                    });
+                }
+                Destination::Unicast(r) => {
+                    if !nt.are_neighbors(sender, r) {
+                        // No ATIM-ACK: the receiver moved away.
+                        self.counters.atim_no_ack += 1;
+                        obs.atim_no_ack(start, sender, r);
+                        let attempts = self.queues[i].bump_attempts_for(dest);
+                        if attempts >= self.cfg.atim_retry_limit {
+                            self.counters.link_failures += 1;
+                            let fail_at = start + self.cfg.atim_window;
+                            obs.link_broken(fail_at, sender, r);
+                            self.queues[i].remove_all_for_with(dest, |q| {
+                                failures.push(LinkFailure {
+                                    sender,
+                                    receiver: r,
+                                    at: fail_at,
+                                    frame: q.frame,
                                 });
-                                self.pending[i] = !self.queues[i].is_empty();
-                            }
-                            continue;
-                        }
-                        Self::affected_unicast_into(nt, sender, r, affected);
-                        if atim_budget
-                            .try_reserve(affected.iter().copied(), atim_uni)
-                            .is_some()
-                        {
-                            self.counters.atim_unicast += 1;
-                            obs.atim_unicast(start, sender, r);
-                            awake[i] = true;
-                            committed[i] = true;
-                            awake[r.index()] = true;
-                            committed[r.index()] = true;
-                            self.queues[i].reset_attempts_for(dest);
-                            let level = advertised.unwrap_or(OverhearingLevel::None);
-                            announcements.push(Announcement {
-                                sender,
-                                dest,
-                                level,
                             });
-                        } else {
-                            self.counters.atim_deferred += 1;
-                            obs.atim_deferred(start, sender);
+                            self.pending[i] = !self.queues[i].is_empty();
                         }
+                        continue;
+                    }
+                    Self::affected_unicast_into(nt, sender, r, affected);
+                    if atim_budget
+                        .try_reserve(affected.iter().copied(), atim_uni)
+                        .is_some()
+                    {
+                        self.counters.atim_unicast += 1;
+                        obs.atim_unicast(start, sender, r);
+                        awake[i] = true;
+                        committed[i] = true;
+                        awake[r.index()] = true;
+                        committed[r.index()] = true;
+                        self.queues[i].reset_attempts_for(dest);
+                        let level = advertised.unwrap_or(OverhearingLevel::None);
+                        announcements.push(Announcement {
+                            sender,
+                            dest,
+                            level,
+                        });
+                    } else {
+                        self.counters.atim_deferred += 1;
+                        obs.atim_deferred(start, sender);
                     }
                 }
             }
@@ -849,78 +760,33 @@ impl<P> MacLayer<P> {
 
         // Keep on-air ordering for downstream consumers. Sorting
         // happens *before* fanout resolution so the fanout buffer is
-        // laid out in on-air order for every shard width.
+        // laid out in on-air order.
         deliveries.sort_by_key(|d| d.at);
 
-        // ---- Post-pass: fanout + committed-awake (sharded) -------------
+        // ---- Post-pass: fanout + committed-awake -----------------------
         // Both are pure functions of the settled phase-2 `awake` and
         // phase-3 doze state, computed per delivery / per node.
-        let bi = self.cfg.beacon_interval;
-        let aw = self.cfg.atim_window;
-        let doze_after = self.cfg.doze_after_transfer;
-        let nd = deliveries.len();
         out.fanout.clear();
-        out.committed_awake.clear();
-        let awake_r: &[bool] = awake;
-        let committed_r: &[bool] = committed;
-        let full_wake_r: &[bool] = full_wake;
-        let doze_at_r: &[SimTime] = doze_at;
-        if shards <= 1 {
-            // Serial fast path: write straight into the outcome, no
-            // lanes, no allocations.
-            for d in deliveries.iter_mut() {
-                let first = out.fanout.len() as u32;
-                let (rec, ovh) = delivery_fanout(d, nt, awake_r, &mut out.fanout);
-                d.fanout = Fanout {
-                    start: first,
-                    recipients: rec,
-                    overhearers: ovh,
-                };
-            }
-            out.committed_awake.extend((0..n).map(|i| {
-                committed_duration(
-                    i, committed_r, full_wake_r, doze_at_r, start, aw, bi, doze_after,
-                )
-            }));
-        } else {
-            scr.merge.resize_with(shards, MergeLane::default);
-            let delivery_chunk = nd.div_ceil(shards).max(1);
-            let deliveries_r: &[Delivery<P>] = deliveries;
-            self.pool.map_shards(&mut scr.merge, |s, lane| {
-                lane.fanout.clear();
-                lane.counts.clear();
-                lane.committed.clear();
-                let lo = (s * delivery_chunk).min(nd);
-                let hi = ((s + 1) * delivery_chunk).min(nd);
-                for d in &deliveries_r[lo..hi] {
-                    lane.counts.push(delivery_fanout(d, nt, awake_r, &mut lane.fanout));
-                }
-                let nlo = (s * node_chunk).min(n);
-                let nhi = ((s + 1) * node_chunk).min(n);
-                for i in nlo..nhi {
-                    lane.committed.push(committed_duration(
-                        i, committed_r, full_wake_r, doze_at_r, start, aw, bi, doze_after,
-                    ));
-                }
-            });
-            // Serial merge in shard order = delivery/node index order.
-            let mut di = 0usize;
-            for lane in scr.merge.iter() {
-                let mut off = out.fanout.len() as u32;
-                out.fanout.extend_from_slice(&lane.fanout);
-                for &(rec, ovh) in lane.counts.iter() {
-                    deliveries[di].fanout = Fanout {
-                        start: off,
-                        recipients: rec,
-                        overhearers: ovh,
-                    };
-                    off += rec + ovh;
-                    di += 1;
-                }
-                out.committed_awake.extend_from_slice(&lane.committed);
-            }
-            debug_assert_eq!(di, nd, "every delivery got its fanout");
+        for d in deliveries.iter_mut() {
+            let first = out.fanout.len() as u32;
+            let (rec, ovh) = delivery_fanout(d, nt, awake, &mut out.fanout);
+            d.fanout = Fanout {
+                start: first,
+                recipients: rec,
+                overhearers: ovh,
+            };
         }
+        let (aw, bi) = (self.cfg.atim_window, self.cfg.beacon_interval);
+        out.committed_awake.clear();
+        out.committed_awake.extend((0..n).map(|i| {
+            if !committed[i] {
+                aw
+            } else if full_wake[i] || !self.cfg.doze_after_transfer {
+                bi
+            } else {
+                (doze_at[i] - start).max(aw).min(bi)
+            }
+        }));
 
         out.awake.clear();
         out.awake.extend_from_slice(awake);

@@ -26,10 +26,7 @@ fn main() -> ExitCode {
             print!("{}", cli::USAGE);
             ExitCode::SUCCESS
         }
-        Ok(Command::Run(run)) => match match run.threads {
-            Some(width) => randomcast::run_sim_with_width(run.config.clone(), width),
-            None => run_sim(run.config.clone()),
-        } {
+        Ok(Command::Run(run)) => match run_sim(run.config.clone()) {
             Ok(report) => {
                 if run.csv {
                     println!("{}", cli::csv_row(&report, &run.config));
@@ -417,12 +414,9 @@ spec file: {e}",
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{}", cli::USAGE);
-            // Lint reserves exit 1 for findings; its usage errors are 2.
-            if args.first().is_some_and(|a| a == "lint") {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            }
+            // Usage errors exit 2; exit 1 means a failed run or lint
+            // findings.
+            ExitCode::from(2)
         }
     }
 }

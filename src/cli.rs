@@ -123,9 +123,6 @@ pub struct RunArgs {
     pub config: SimConfig,
     /// Emit one CSV row instead of the human summary.
     pub csv: bool,
-    /// Intra-interval shard width (`None` = serial). The report is
-    /// byte-identical at any width; only wall-clock time changes.
-    pub threads: Option<usize>,
 }
 
 /// Arguments of `rcast compare`.
@@ -232,8 +229,6 @@ COMMON OPTIONS (both subcommands):
 
 run-ONLY:
     --csv             print one CSV row (with header)
-    --threads <n>     shard each beacon interval across n workers
-                      (results are byte-identical at any width)
 
 compare-ONLY:
     --schemes <list>  comma list of schemes      [802.11,odpm,rcast]
@@ -290,27 +285,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
         "run" => {
             let (config, extras) = parse_config(rest)?;
             let mut csv = false;
-            let mut threads = None;
-            let mut it = extras.iter();
-            while let Some(e) = it.next() {
+            for e in &extras {
                 match e.as_str() {
                     "--csv" => csv = true,
-                    "--threads" => {
-                        let v = it.next().ok_or_else(|| err("--threads needs a value"))?;
-                        let n = parse_u64("--threads", v)? as usize;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
                     other => return Err(err(format!("unknown option '{other}'"))),
                 }
             }
-            Ok(Command::Run(RunArgs {
-                config,
-                csv,
-                threads,
-            }))
+            Ok(Command::Run(RunArgs { config, csv }))
         }
         "scenario" => {
             let mut path = None;
@@ -675,18 +656,6 @@ mod tests {
         assert_eq!(r.config.seed, 9);
         assert_eq!(r.config.area.width(), 800.0);
         assert!(r.csv);
-        assert_eq!(r.threads, None);
-    }
-
-    #[test]
-    fn run_threads_parse() {
-        let Command::Run(r) = parse(&args("run --threads 8")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(r.threads, Some(8));
-        assert!(parse(&args("run --threads 0")).is_err());
-        assert!(parse(&args("run --threads many")).is_err());
-        assert!(parse(&args("run --threads")).is_err());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Scripts and CI wrap this binary, so the contract is part of the
 //! public surface: success exits 0, every failure exits non-zero with a
-//! single-line diagnostic on **stderr** that starts with `error`, and
-//! machine-readable output (JSON, CSV) goes to stdout only.
+//! single-line diagnostic on **stderr** that starts with `error` (usage
+//! errors exit 2), and machine-readable output (JSON, CSV) goes to
+//! stdout only.
 
 use std::process::{Command, Output};
 
@@ -48,6 +49,20 @@ fn unknown_subcommands_and_flags_fail_with_a_diagnostic() {
             stderr(&out)
         );
     }
+}
+
+/// Each run steps its beacon intervals on one thread; parallelism lives
+/// across runs (`compare`/`sweep --threads`), so `run` has no width flag.
+#[test]
+fn run_rejects_a_thread_width_as_a_usage_error() {
+    let out = rcast(&["run", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("error: unknown option '--threads'"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

@@ -226,3 +226,33 @@ fn aggregate_from_parallel_matches_from_runs() {
         );
     }
 }
+
+/// FNV-1a, 64-bit: a std-only digest stable across platforms and
+/// toolchains (unlike `DefaultHasher`, whose algorithm is unspecified).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Large-n fingerprint: the 600-node Rcast run at the `large` bench
+/// tier's geometry (density-matched to the medium workload) is pinned to
+/// a digest of its full `Debug` report. The smoke configs above never
+/// fill more than a few grid cells; this run is where the spatial
+/// fan-out, the churn-scan skip and the per-interval draw lane operate
+/// at scale, so any change to their results shows up here.
+#[test]
+fn large_network_report_matches_its_pinned_digest() {
+    let mut cfg = SimConfig::paper(Scheme::Rcast, 7, 0.4, 60.0);
+    cfg.nodes = 600;
+    cfg.area = randomcast::mobility::Area::new(3600.0, 720.0);
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.traffic.flows = 30;
+    let report = randomcast::Simulation::new(cfg).expect("valid config").run();
+    let report = format!("{report:?}");
+    assert_eq!(
+        (report.len(), format!("{:016x}", fnv1a64(report.as_bytes()))),
+        (194_982, "6fc24b2f19187cfa".to_string()),
+        "600-node Rcast report drifted"
+    );
+}
