@@ -56,6 +56,56 @@ for scheme in 802.11 psm psm-none odpm rcast; do
         > /dev/null
 done
 
+echo "==> trace smoke: rcast-trace/v1 export matches the checked-in golden"
+# The same pinned workload the determinism suite locks down at widths
+# 1/2/8; here the release binary's end-to-end CLI path (config flags →
+# simulation → ledger → JSONL) is diffed byte-for-byte against the
+# golden. Regenerate deliberately with
+# `cargo test --test determinism -- --ignored`.
+trace_out=$(mktemp)
+trap 'rm -f "$trace_out"' EXIT
+./target/release/rcast trace \
+    --nodes 12 --area 600x300 --duration 10 --flows 3 --pause 20 --seed 7 \
+    --out "$trace_out" 2> /dev/null
+cmp "$trace_out" tests/golden/trace_rcast_seed7.jsonl || {
+    echo "FAIL: rcast trace output diverged from tests/golden/trace_rcast_seed7.jsonl" >&2
+    exit 1
+}
+# Filters must subset, not reshape: a filtered export still parses and
+# keeps the header schema line first.
+./target/release/rcast trace \
+    --nodes 12 --area 600x300 --duration 10 --flows 3 --pause 20 --seed 7 \
+    --filter kind=span --interval-range 0..8 2> /dev/null \
+    | head -1 | grep -q '"schema":"rcast-trace/v1"' || {
+    echo "FAIL: filtered rcast trace lost its schema header" >&2
+    exit 1
+}
+
+echo "==> sweep smoke: rcast-sweep/v1 artifacts match the checked-in goldens"
+# The fig7 smoke grid (24 runs) through the release binary's --out
+# path, diffed byte-for-byte against the goldens the determinism suite
+# pins at widths 1/2/8. Regenerate deliberately with
+# `cargo test --release --test sweep_determinism -- --ignored`.
+sweep_out=$(mktemp -d)
+trap 'rm -f "$trace_out"; rm -rf "$sweep_out"' EXIT
+./target/release/rcast sweep --spec fig7 --smoke --threads 8 \
+    --out "$sweep_out" 2> /dev/null
+for ext in json csv; do
+    cmp "$sweep_out/fig7-smoke.$ext" "tests/golden/fig7-smoke.$ext" || {
+        echo "FAIL: rcast sweep .$ext diverged from tests/golden/fig7-smoke.$ext" >&2
+        exit 1
+    }
+done
+
+echo "==> drain curves: the ledger-replayed energy trajectory matches its golden"
+# examples/drain_curves.rs samples per-node joules from the ledger's
+# energy spans; its stdout is pinned byte-for-byte.
+cargo run -q --release --offline --example drain_curves > target/drain_curves.txt
+cmp target/drain_curves.txt tests/golden/drain_curves.txt || {
+    echo "FAIL: drain_curves output diverged from tests/golden/drain_curves.txt" >&2
+    exit 1
+}
+
 echo "==> bench smoke: tracked perf suite + regression check (release)"
 # The checked-in BENCH_rcast.json is regenerated deliberately with
 # `rcast bench --out BENCH_rcast.json`, never overwritten here.
@@ -102,46 +152,5 @@ echo "    node scaling: 150 -> ${scale_150_ms} ms, 600 -> ${scale_600_ms} ms," \
     "1200 -> ${scale_1200_ms} ms" \
     "($(awk "BEGIN { printf \"%.2fx per 4x nodes, %.2fx per 2x nodes\", \
         $scale_600_ms / $scale_150_ms, $scale_1200_ms / $scale_600_ms }"))"
-
-echo "==> trace smoke: rcast-trace/v1 export matches the checked-in golden"
-# The same pinned workload the determinism suite locks down at widths
-# 1/2/8; here the release binary's end-to-end CLI path (config flags →
-# simulation → ledger → JSONL) is diffed byte-for-byte against the
-# golden. Regenerate deliberately with
-# `cargo test --test determinism -- --ignored`.
-trace_out=$(mktemp)
-trap 'rm -f "$trace_out"' EXIT
-./target/release/rcast trace \
-    --nodes 12 --area 600x300 --duration 10 --flows 3 --pause 20 --seed 7 \
-    --out "$trace_out" 2> /dev/null
-cmp "$trace_out" tests/golden/trace_rcast_seed7.jsonl || {
-    echo "FAIL: rcast trace output diverged from tests/golden/trace_rcast_seed7.jsonl" >&2
-    exit 1
-}
-# Filters must subset, not reshape: a filtered export still parses and
-# keeps the header schema line first.
-./target/release/rcast trace \
-    --nodes 12 --area 600x300 --duration 10 --flows 3 --pause 20 --seed 7 \
-    --filter kind=span --interval-range 0..8 2> /dev/null \
-    | head -1 | grep -q '"schema":"rcast-trace/v1"' || {
-    echo "FAIL: filtered rcast trace lost its schema header" >&2
-    exit 1
-}
-
-echo "==> sweep smoke: rcast-sweep/v1 artifacts match the checked-in goldens"
-# The fig7 smoke grid (24 runs) through the release binary's --out
-# path, diffed byte-for-byte against the goldens the determinism suite
-# pins at widths 1/2/8. Regenerate deliberately with
-# `cargo test --release --test sweep_determinism -- --ignored`.
-sweep_out=$(mktemp -d)
-trap 'rm -f "$trace_out"; rm -rf "$sweep_out"' EXIT
-./target/release/rcast sweep --spec fig7 --smoke --threads 8 \
-    --out "$sweep_out" 2> /dev/null
-for ext in json csv; do
-    cmp "$sweep_out/fig7-smoke.$ext" "tests/golden/fig7-smoke.$ext" || {
-        echo "FAIL: rcast sweep .$ext diverged from tests/golden/fig7-smoke.$ext" >&2
-        exit 1
-    }
-done
 
 echo "CI gate passed."

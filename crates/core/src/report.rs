@@ -4,7 +4,7 @@ use rcast_aodv::AodvCounters;
 use rcast_dsr::DsrCounters;
 use rcast_engine::{SimDuration, SimTime};
 use rcast_mac::MacCounters;
-use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers, TimeSeries};
+use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers};
 use rcast_obs::ObsReport;
 
 use crate::config::SimConfig;
@@ -50,9 +50,6 @@ pub struct SimReport {
     pub faults: FaultCounters,
     /// First battery depletion, if batteries were finite and one died.
     pub first_depletion: Option<SimTime>,
-    /// Per-node cumulative energy over time, when
-    /// `SimConfig::energy_sampling` was set.
-    pub energy_series: Option<TimeSeries>,
     /// The packet journal, when `SimConfig::trace` was set.
     pub trace: Option<PacketTrace>,
     /// The cross-layer event ledger, when `SimConfig::obs` was set.
@@ -244,7 +241,6 @@ mod tests {
             aodv: AodvCounters::default(),
             faults: FaultCounters::default(),
             first_depletion: None,
-            energy_series: None,
             trace: None,
             obs: None,
         }

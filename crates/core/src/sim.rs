@@ -43,8 +43,8 @@ use rcast_mac::{
 };
 use rcast_mobility::{MobilityField, NeighborIndex, NeighborTable, Snapshot};
 use rcast_obs::{EventKind as ObsKind, Ledger, LedgerParams, PacketClass};
-use rcast_radio::{EnergyModel, Phy, PowerState};
-use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers, TimeSeries};
+use rcast_radio::{Battery, EnergyMeter, Phy, PowerState};
+use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers};
 use rcast_traffic::{Arrival, FlowSchedule};
 
 use crate::config::SimConfig;
@@ -172,106 +172,6 @@ struct Scratch {
     flat_committed: Vec<SimDuration>,
     /// `ps_awake` substitute for the non-PSM path: all `false`.
     flat_ps: Vec<bool>,
-    /// Per-node cumulative-joules buffer for the energy time series.
-    energy_sample: Vec<f64>,
-}
-
-/// Struct-of-arrays per-node hot state: the crash/power lane, the
-/// per-state energy-seconds lanes and the battery lanes, each one flat
-/// array indexed by node id.
-///
-/// The interval phases walk nodes in index order; holding
-/// this state as lanes instead of
-/// per-node structs (`Vec<EnergyMeter>` + `Vec<Battery>` + `Vec<bool>`)
-/// turns the energy integration, fault scan and battery drain into
-/// sequential streams over small contiguous arrays. The arithmetic
-/// mirrors `EnergyMeter::accumulate`/`total_joules` and
-/// `Battery::drain` operation-for-operation — same adds, same order,
-/// same comparisons — so reports and ledger replays (which replay
-/// spans into real `EnergyMeter`s) stay bit-identical. `EnergyMeter`
-/// remains the single-node oracle type.
-struct NodeLanes {
-    /// Power draw per state; identical for every node.
-    model: EnergyModel,
-    /// Crashed (radio off) this interval.
-    down: Vec<bool>,
-    /// Seconds spent awake — meter slot 0.
-    awake_s: Vec<f64>,
-    /// Seconds spent dozing — meter slot 3.
-    sleep_s: Vec<f64>,
-    /// Seconds spent off — meter slot 4. Draws nothing; kept so the
-    /// per-node accounted wall-clock invariant stays checkable.
-    off_s: Vec<f64>,
-    /// Battery lanes; `None` when capacity is unlimited.
-    battery: Option<BatteryLanes>,
-}
-
-/// Finite-battery lanes mirroring `Battery` semantics per node.
-struct BatteryLanes {
-    capacity_j: f64,
-    consumed_j: Vec<f64>,
-    /// A depleted battery ignores further drains; the crossing is
-    /// reported exactly once.
-    depleted: Vec<bool>,
-}
-
-impl NodeLanes {
-    // det: cold — construction: runs once per simulation
-    fn new(n: usize, model: EnergyModel, battery_capacity_j: Option<f64>) -> Self {
-        NodeLanes {
-            model,
-            down: vec![false; n],
-            awake_s: vec![0.0; n],
-            sleep_s: vec![0.0; n],
-            off_s: vec![0.0; n],
-            battery: battery_capacity_j.map(|cap| {
-                assert!(
-                    cap.is_finite() && cap > 0.0,
-                    "invalid capacity {cap}"
-                );
-                BatteryLanes {
-                    capacity_j: cap,
-                    consumed_j: vec![0.0; n],
-                    depleted: vec![false; n],
-                }
-            }),
-        }
-    }
-
-    /// Number of nodes covered.
-    fn len(&self) -> usize {
-        self.down.len()
-    }
-
-    /// Node `i`'s total energy, bit-identical to
-    /// `EnergyMeter::total_joules` fed the same durations: the tx/rx
-    /// slots are never charged by the interval loop, and `x + 0.0 == x`
-    /// exactly for the finite non-negative products involved, so
-    /// dropping the two zero terms cannot change a bit.
-    fn total_joules(&self, i: usize) -> f64 {
-        self.awake_s[i] * self.model.idle_w + self.sleep_s[i] * self.model.sleep_w
-    }
-}
-
-impl BatteryLanes {
-    /// Mirrors `Battery::drain`: consumes `joules` (negative drains
-    /// ignored), reporting `now` if this drain crossed empty.
-    fn drain(&mut self, i: usize, joules: f64, now: SimTime) -> Option<SimTime> {
-        if self.depleted[i] {
-            return None;
-        }
-        self.consumed_j[i] += joules.max(0.0);
-        if self.consumed_j[i] >= self.capacity_j {
-            self.depleted[i] = true;
-            return Some(now);
-        }
-        None
-    }
-
-    /// Mirrors `Battery::remaining_fraction`.
-    fn remaining_fraction(&self, i: usize) -> f64 {
-        (self.capacity_j - self.consumed_j[i]).max(0.0) / self.capacity_j
-    }
 }
 
 /// The assembled network simulation.
@@ -303,14 +203,16 @@ pub struct Simulation {
     routers: Vec<RouterNode>,
     odpm: OdpmState,
     rcast: RcastDecider,
-    /// Per-node hot state as struct-of-arrays lanes (crash flag,
-    /// energy seconds, battery) — see [`NodeLanes`].
-    lanes: NodeLanes,
+    /// Crashed (radio off) this interval, per node.
+    down: Vec<bool>,
+    /// Per-node energy account: the source of the report's joules.
+    meters: Vec<EnergyMeter>,
+    /// `None` when battery capacity is unlimited.
+    batteries: Option<Vec<Battery>>,
     tracker: DeliveryTracker,
     roles: RoleNumbers,
     schedule: FlowSchedule,
     first_depletion: Option<SimTime>,
-    energy_series: Option<TimeSeries>,
     trace: Option<PacketTrace>,
     obs: Option<Ledger>,
     faults: FaultPlan,
@@ -385,14 +287,13 @@ impl Simulation {
                 .collect(),
             odpm: OdpmState::new(n, cfg.odpm),
             rcast: RcastDecider::new(n, cfg.factors, root.child("rcast")),
-            lanes: NodeLanes::new(n, cfg.energy, cfg.battery_capacity_j),
+            down: vec![false; n],
+            meters: vec![EnergyMeter::new(cfg.energy); n],
+            batteries: cfg.battery_capacity_j.map(|cap| vec![Battery::new(cap); n]),
             tracker: DeliveryTracker::new(),
             roles: RoleNumbers::new(n),
             schedule,
             first_depletion: None,
-            energy_series: cfg
-                .energy_sampling
-                .map(|p| TimeSeries::new(n, p)),
             trace: cfg.trace.then(PacketTrace::new),
             obs: cfg.obs.then(|| {
                 Ledger::new(LedgerParams {
@@ -474,7 +375,7 @@ impl Simulation {
 
         // 1. Routing timers (crashed nodes hold no timers).
         for i in 0..n {
-            if self.lanes.down[i] {
+            if self.down[i] {
                 continue;
             }
             let id = NodeId::new(i as u32);
@@ -487,14 +388,6 @@ impl Simulation {
         // 2. The PSM beacon interval.
         let used_psm = self.cfg.scheme.uses_psm_path();
         if used_psm {
-            if self.cfg.scheme == Scheme::Rcast {
-                // Batch this interval's randomized wake draws into one
-                // contiguous lane (one raw draw per node is ample for
-                // typical ATIM loads; overflow falls through to the
-                // stream, so the decision sequence is bit-identical to
-                // lazy per-decision draws).
-                self.rcast.prefill_draws(n);
-            }
             {
                 let mut policy = IntervalPolicy {
                     scheme: self.cfg.scheme,
@@ -523,7 +416,7 @@ impl Simulation {
             }
             for f in scratch.outcome.failures.drain(..) {
                 if self.faults_active
-                    && (self.lanes.down[f.receiver.index()]
+                    && (self.down[f.receiver.index()]
                         || self.faults.link_cut(f.sender, f.receiver, t))
                 {
                     self.fault_counters.rerrs_triggered += 1;
@@ -569,7 +462,7 @@ impl Simulation {
                     },
                 );
             }
-            if self.lanes.down[a.src.index()] {
+            if self.down[a.src.index()] {
                 // A crashed source generates nothing on the air; the
                 // packet is lost at birth.
                 self.tracker.record_fault_drop();
@@ -625,21 +518,6 @@ impl Simulation {
             self.account_energy(t, &scratch.flat_ps, &scratch.flat_committed, &mut obs);
         }
 
-        // 6. Optional energy time series.
-        if let Some(series) = &mut self.energy_series {
-            let due = match series.times().last() {
-                None => true,
-                Some(&last) => (t + bi) - last >= series.period(),
-            };
-            if due {
-                scratch.energy_sample.clear();
-                scratch
-                    .energy_sample
-                    .extend((0..n).map(|i| self.lanes.total_joules(i)));
-                series.push(t + bi, &scratch.energy_sample);
-            }
-        }
-
         if let Some(l) = obs.as_mut() {
             l.end_interval();
         }
@@ -648,23 +526,6 @@ impl Simulation {
         self.scratch = scratch;
         self.k += 1;
         true
-    }
-
-    /// Closes the run (end-of-run energy sample) and reports. Pairs
-    /// with [`step_interval`](Self::step_interval); calling it before
-    /// the final interval reports the simulation as of the intervals
-    /// executed so far.
-    pub fn finish(mut self) -> SimReport {
-        let end = SimTime::ZERO + self.cfg.mac.beacon_interval * self.k;
-        if let Some(series) = &mut self.energy_series {
-            if series.times().last() != Some(&end) {
-                let sample: Vec<f64> = (0..self.lanes.len())
-                    .map(|i| self.lanes.total_joules(i))
-                    .collect();
-                series.push(end, &sample);
-            }
-        }
-        self.into_report()
     }
 
     /// Applies the fault plan at the interval boundary `t`: resolves
@@ -694,7 +555,7 @@ impl Simulation {
         for i in 0..n {
             let id = NodeId::new(i as u32);
             let is_down = self.faults.is_down(id, t);
-            if is_down && !self.lanes.down[i] {
+            if is_down && !self.down[i] {
                 if self.faults.crash_scheduled(id, t) {
                     self.fault_counters.crashes += 1;
                 }
@@ -729,13 +590,13 @@ impl Simulation {
                         l.record_event(t, id, ObsKind::PacketDropped { flow, seq });
                     }
                 }
-            } else if !is_down && self.lanes.down[i] {
+            } else if !is_down && self.down[i] {
                 self.fault_counters.rejoins += 1;
                 if let Some(l) = obs.as_mut() {
                     l.record_event(t, id, ObsKind::Rejoin);
                 }
             }
-            self.lanes.down[i] = is_down;
+            self.down[i] = is_down;
             if is_down {
                 index.isolate(id);
             }
@@ -758,9 +619,6 @@ impl Simulation {
     /// per-node order — that is what makes
     /// [`rcast_obs::ObsReport::replay_energy`] reproduce the meters
     /// bit-for-bit.
-    // The loop drives five parallel lanes plus `committed_awake` off
-    // one index; an iterator over any single lane would obscure that.
-    #[allow(clippy::needless_range_loop)]
     fn account_energy(
         &mut self,
         t: SimTime,
@@ -770,14 +628,13 @@ impl Simulation {
     ) {
         let bi = self.cfg.mac.beacon_interval;
         let aw = self.cfg.mac.atim_window;
-        let n = self.cfg.nodes as usize;
-        let model = self.lanes.model;
-        for i in 0..n {
+        let model = self.cfg.energy;
+        for (i, meter) in self.meters.iter_mut().enumerate() {
             let id = NodeId::new(i as u32);
-            if self.lanes.down[i] {
+            if self.down[i] {
                 // A crashed node's radio is off for the whole interval:
                 // the wall clock still advances but nothing drains.
-                self.lanes.off_s[i] += bi.as_secs_f64();
+                meter.accumulate(PowerState::Off, bi);
                 if let Some(l) = obs.as_mut() {
                     l.record_span(t, id, PowerState::Off, bi);
                 }
@@ -797,19 +654,16 @@ impl Simulation {
                     committed_awake[i].max(aw.max(self.odpm.am_overlap(id, t, bi)))
                 }
             };
-            // Same adds in the same order as `EnergyMeter::accumulate`
-            // (the ledger replay reconstructs real meters from the
-            // mirrored spans and must land on the same bits).
-            self.lanes.awake_s[i] += awake_dur.as_secs_f64();
-            self.lanes.sleep_s[i] += (bi - awake_dur).as_secs_f64();
+            meter.accumulate(PowerState::Awake, awake_dur);
+            meter.accumulate(PowerState::Sleep, bi - awake_dur);
             if let Some(l) = obs.as_mut() {
                 l.record_span(t, id, PowerState::Awake, awake_dur);
                 l.record_span(t, id, PowerState::Sleep, bi - awake_dur);
             }
-            if let Some(bat) = &mut self.lanes.battery {
+            if let Some(bat) = self.batteries.as_mut().map(|b| &mut b[i]) {
                 let joules = awake_dur.as_secs_f64() * model.idle_w
                     + (bi - awake_dur).as_secs_f64() * model.sleep_w;
-                if let Some(died) = bat.drain(i, joules, t + bi) {
+                if let Some(died) = bat.drain(joules, t + bi) {
                     if self.first_depletion.is_none() {
                         self.first_depletion = Some(died);
                     }
@@ -820,7 +674,7 @@ impl Simulation {
                         }
                     }
                 }
-                self.rcast.note_battery(id, bat.remaining_fraction(i));
+                self.rcast.note_battery(id, bat.remaining_fraction());
             }
         }
     }
@@ -932,7 +786,7 @@ impl Simulation {
                 }
                 ImmediateResult::Failed(f) => {
                     if self.faults_active
-                        && (self.lanes.down[f.receiver.index()]
+                        && (self.down[f.receiver.index()]
                             || self.faults.link_cut(f.sender, f.receiver, f.at))
                     {
                         self.fault_counters.rerrs_triggered += 1;
@@ -1137,15 +991,14 @@ impl Simulation {
     /// only the shortest-route one survives.
     fn suppress_reply_storm(batch: &mut Vec<Pending>) {
         fn rrep_hops(a: &RouteAction) -> Option<usize> {
-            match a {
-                RouteAction::Unicast { packet, .. } if packet.kind() == "RREP" => {
-                    Some(match packet {
-                        NetPacket::Dsr(rcast_dsr::DsrPacket::Rrep(r)) => r.route.hop_count(),
-                        NetPacket::Aodv(rcast_aodv::AodvPacket::Rrep(r)) => {
-                            r.hop_count as usize
-                        }
-                        _ => usize::MAX,
-                    })
+            let RouteAction::Unicast { packet, .. } = a else {
+                return None;
+            };
+            match packet {
+                NetPacket::Dsr(rcast_dsr::DsrPacket::Rrep(r)) => Some(r.route.hop_count()),
+                // AODV hellos ride the RREP format but are not replies.
+                NetPacket::Aodv(rcast_aodv::AodvPacket::Rrep(r)) if !r.is_hello() => {
+                    Some(r.hop_count as usize)
                 }
                 _ => None,
             }
@@ -1166,7 +1019,11 @@ impl Simulation {
         });
     }
 
-    fn into_report(self) -> SimReport {
+    /// Closes the run and reports. Pairs with
+    /// [`step_interval`](Self::step_interval); calling it before the
+    /// final interval reports the simulation as of the intervals
+    /// executed so far.
+    pub fn finish(self) -> SimReport {
         let mut dsr_total = DsrCounters::default();
         let mut aodv_total = AodvCounters::default();
         for node in &self.routers {
@@ -1202,11 +1059,7 @@ impl Simulation {
             scheme: self.cfg.scheme,
             seed: self.seed,
             duration: self.cfg.duration,
-            energy: EnergyReport::new(
-                (0..self.lanes.len())
-                    .map(|i| self.lanes.total_joules(i))
-                    .collect(),
-            ),
+            energy: EnergyReport::new(self.meters.iter().map(EnergyMeter::total_joules).collect()),
             delivery: self.tracker,
             roles: self.roles,
             mac: self.mac.counters(),
@@ -1214,7 +1067,6 @@ impl Simulation {
             aodv: aodv_total,
             faults: self.fault_counters,
             first_depletion: self.first_depletion,
-            energy_series: self.energy_series,
             trace: self.trace,
             obs: self.obs.map(Ledger::into_report),
         }
@@ -1554,7 +1406,7 @@ mod tests {
             .all(|w| w[0].key() < w[1].key()));
         // Energy reconciliation: replaying the span events through a
         // fresh meter set reproduces the report bit-for-bit.
-        let replayed = obs.replay_energy(cfg.energy);
+        let replayed = obs.replay_energy(cfg.energy, SimTime::MAX);
         assert_eq!(replayed.len(), r.energy.per_node_joules().len());
         for (a, b) in replayed.iter().zip(r.energy.per_node_joules()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1597,20 +1449,24 @@ mod tests {
     }
 
     #[test]
-    fn energy_series_samples_cumulative_consumption() {
+    fn ledger_spans_give_the_cumulative_energy_trajectory() {
         let mut cfg = SimConfig::smoke(Scheme::Rcast, 2);
-        cfg.energy_sampling = Some(rcast_engine::SimDuration::from_secs(10));
-        let r = run_sim(cfg).expect("valid config");
-        let series = r.energy_series.expect("sampling enabled");
-        assert!(series.samples() >= 11, "120 s / 10 s: {}", series.samples());
-        // Cumulative energy is nondecreasing and ends at the report total.
-        let totals = series.totals();
+        cfg.obs = true;
+        let r = run_sim(cfg.clone()).expect("valid config");
+        let obs = r.obs.as_ref().expect("ledger enabled");
+        // Network totals at every 10 s boundary of the 120 s run.
+        let times: Vec<SimTime> = (1..=12).map(|s| SimTime::from_secs(10 * s)).collect();
+        let totals: Vec<f64> = times
+            .iter()
+            .map(|&t| obs.replay_energy(cfg.energy, t).iter().sum())
+            .collect();
+        // Cumulative energy is nondecreasing and ends on the report
+        // total to the bit.
         assert!(totals.windows(2).all(|w| w[1] >= w[0]));
-        let last = *totals.last().unwrap();
-        assert!((last - r.energy.total_joules()).abs() < 1e-6);
+        assert_eq!(totals[11].to_bits(), r.energy.total_joules().to_bits());
         // Mean slope is the network's average power draw: between the
         // all-sleep floor and the all-awake ceiling.
-        let watts = series.mean_total_slope();
+        let watts = (totals[11] - totals[0]) / (times[11] - times[0]).as_secs_f64();
         assert!(watts > 50.0 * 0.045 && watts < 50.0 * 1.15, "{watts} W");
     }
 

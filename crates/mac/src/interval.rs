@@ -210,16 +210,6 @@ pub struct MacLayer<P> {
     cfg: MacConfig,
     phy: Phy,
     queues: Vec<TxQueue<P>>,
-    /// Pending-traffic lane: `pending[i]` is false only when node `i`'s
-    /// queue is known empty. Maintained at every queue mutation site
-    /// (enqueue, purge, phase-1 evictions, phase-3 removals) so the
-    /// ATIM prepass can skip idle nodes without touching their queue at
-    /// all — at large n most nodes are idle in any given interval, and
-    /// an empty queue emits no candidates anyway, so the skip is
-    /// byte-identical. A stale `true` is harmless (the prepass just
-    /// reads an empty queue); a stale `false` would drop traffic, hence
-    /// the conservative refresh-after-mutation discipline.
-    pending: Vec<bool>,
     rng: StreamRng,
     counters: MacCounters,
     scratch: IntervalScratch,
@@ -306,7 +296,6 @@ impl<P> MacLayer<P> {
             cfg,
             phy,
             queues: (0..n).map(|_| TxQueue::new(cfg.queue_capacity)).collect(),
-            pending: vec![false; n],
             rng,
             counters: MacCounters::default(),
             scratch: IntervalScratch::default(),
@@ -352,7 +341,6 @@ impl<P> MacLayer<P> {
     /// what a crash does to buffered traffic. The frames are not counted
     /// as queue-full drops; the caller owns their accounting.
     pub fn purge_node(&mut self, node: NodeId) -> Vec<crate::queue::Queued<P>> {
-        self.pending[node.index()] = false;
         self.queues[node.index()].drain_all()
     }
 
@@ -364,16 +352,11 @@ impl<P> MacLayer<P> {
         frame: MacFrame<P>,
         now: SimTime,
     ) -> Result<(), MacFrame<P>> {
-        match self.queues[from.index()].push(frame, now) {
-            Ok(()) => {
-                self.pending[from.index()] = true;
-                Ok(())
-            }
-            Err(f) => {
-                self.counters.queue_drops += 1;
-                Err(f)
-            }
+        let pushed = self.queues[from.index()].push(frame, now);
+        if pushed.is_err() {
+            self.counters.queue_drops += 1;
         }
+        pushed
     }
 
     /// Airtime of a unicast ATIM/ACK handshake.
@@ -517,9 +500,7 @@ impl<P> MacLayer<P> {
         let candidates = &mut scr.candidates;
         candidates.clear();
         for (i, q) in self.queues.iter().enumerate() {
-            // Idle nodes emit no candidates; the pending lane lets the
-            // scan skip them without touching the queue's storage.
-            if !self.pending[i] {
+            if q.is_empty() {
                 continue;
             }
             let sender = NodeId::new(i as u32);
@@ -598,7 +579,6 @@ impl<P> MacLayer<P> {
                                     frame: q.frame,
                                 });
                             });
-                            self.pending[i] = !self.queues[i].is_empty();
                         }
                         continue;
                     }
@@ -753,9 +733,6 @@ impl<P> MacLayer<P> {
                     }
                 }
             }
-            // Phase 3 removed frames for this sender; refresh its
-            // pending-traffic flag for the next interval's prepass.
-            self.pending[qi] = !self.queues[qi].is_empty();
         }
 
         // Keep on-air ordering for downstream consumers. Sorting

@@ -1,155 +1,11 @@
-//! Time-series collection: per-node metrics sampled over the run.
-//!
-//! The paper reports end-of-run totals; a release-quality harness should
-//! also expose *trajectories* — how energy drains over time, when the
-//! balance diverges, when a battery would die. [`TimeSeries`] stores
-//! per-node samples at a fixed period and answers slope/crossing
-//! queries.
-
-use rcast_engine::{SimDuration, SimTime};
-
-/// Per-node samples of one metric at a fixed sampling period.
-///
-/// # Example
-///
-/// ```
-/// use rcast_engine::{SimDuration, SimTime};
-/// use rcast_metrics::TimeSeries;
-///
-/// let mut ts = TimeSeries::new(2, SimDuration::from_secs(1));
-/// ts.push(SimTime::from_secs(1), &[1.0, 2.0]);
-/// ts.push(SimTime::from_secs(2), &[2.0, 4.0]);
-/// assert_eq!(ts.samples(), 2);
-/// assert_eq!(ts.node_series(1), &[2.0, 4.0]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    nodes: usize,
-    period: SimDuration,
-    times: Vec<SimTime>,
-    /// Row-major: `values[sample * nodes + node]`.
-    values: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// An empty series for `nodes` nodes sampled every `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(nodes: usize, period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "sampling period must be positive");
-        TimeSeries {
-            nodes,
-            period,
-            times: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// The sampling period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Number of nodes per sample.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of samples stored.
-    pub fn samples(&self) -> usize {
-        self.times.len()
-    }
-
-    /// `true` when nothing has been sampled.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Appends one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_node.len()` differs from the node count or `at`
-    /// precedes the previous sample.
-    pub fn push(&mut self, at: SimTime, per_node: &[f64]) {
-        assert_eq!(per_node.len(), self.nodes, "sample width mismatch");
-        if let Some(&last) = self.times.last() {
-            assert!(at >= last, "samples must be time-ordered");
-        }
-        self.times.push(at);
-        self.values.extend_from_slice(per_node);
-    }
-
-    /// The sample instants.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
-    /// All node values at sample `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn sample(&self, idx: usize) -> &[f64] {
-        &self.values[idx * self.nodes..(idx + 1) * self.nodes]
-    }
-
-    /// One node's full trajectory.
-    pub fn node_series(&self, node: usize) -> Vec<f64> {
-        (0..self.samples())
-            .map(|s| self.values[s * self.nodes + node])
-            .collect()
-    }
-
-    /// The network-wide sum at each sample.
-    pub fn totals(&self) -> Vec<f64> {
-        (0..self.samples()).map(|s| self.sample(s).iter().sum()).collect()
-    }
-
-    /// The first instant any node's value reaches `threshold`
-    /// (for battery-depletion style queries on cumulative series).
-    pub fn first_crossing(&self, threshold: f64) -> Option<SimTime> {
-        for s in 0..self.samples() {
-            if self.sample(s).iter().any(|&v| v >= threshold) {
-                return Some(self.times[s]);
-            }
-        }
-        None
-    }
-
-    /// Mean slope of the network total between the first and last
-    /// sample, per second (e.g. average network power draw in watts for
-    /// a cumulative-energy series). Zero with fewer than two samples.
-    pub fn mean_total_slope(&self) -> f64 {
-        if self.samples() < 2 {
-            return 0.0;
-        }
-        let totals = self.totals();
-        let dt = (*self.times.last().expect("non-empty") - self.times[0]).as_secs_f64();
-        if dt == 0.0 {
-            0.0
-        } else {
-            (totals[totals.len() - 1] - totals[0]) / dt
-        }
-    }
-
-    /// Renders `(seconds, total)` rows as CSV with a header.
-    pub fn totals_csv(&self) -> String {
-        let mut out = String::from("time_s,total\n");
-        for (t, v) in self.times.iter().zip(self.totals()) {
-            out.push_str(&format!("{:.3},{:.6}\n", t.as_secs_f64(), v));
-        }
-        out
-    }
-}
+//! Per-interval series: fixed-width rows of scalars, one row per beacon
+//! interval, reserved up front so a simulation hot loop can fill them
+//! without touching the allocator.
 
 /// A fixed-width series indexed by interval number instead of
-/// timestamps: row `k` describes interval `k`. Unlike [`TimeSeries`]
-/// the columns are arbitrary scalars (not per-node values) and the
-/// backing storage can be reserved up front with
-/// [`with_capacity`](Self::with_capacity), so ingestion from a
+/// timestamps: row `k` describes interval `k`. The columns are
+/// arbitrary scalars and the backing storage can be reserved up front
+/// with [`with_capacity`](Self::with_capacity), so ingestion from a
 /// simulation hot loop never touches the allocator.
 ///
 /// # Example
@@ -259,67 +115,6 @@ impl IntervalSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn series() -> TimeSeries {
-        let mut ts = TimeSeries::new(3, SimDuration::from_secs(1));
-        ts.push(SimTime::from_secs(0), &[0.0, 0.0, 0.0]);
-        ts.push(SimTime::from_secs(1), &[1.0, 2.0, 3.0]);
-        ts.push(SimTime::from_secs(2), &[2.0, 4.0, 6.0]);
-        ts
-    }
-
-    #[test]
-    fn accessors() {
-        let ts = series();
-        assert_eq!(ts.samples(), 3);
-        assert_eq!(ts.nodes(), 3);
-        assert!(!ts.is_empty());
-        assert_eq!(ts.sample(1), &[1.0, 2.0, 3.0]);
-        assert_eq!(ts.node_series(2), vec![0.0, 3.0, 6.0]);
-        assert_eq!(ts.totals(), vec![0.0, 6.0, 12.0]);
-        assert_eq!(ts.period(), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn slope_is_average_power() {
-        let ts = series();
-        // 12 total units over 2 s → 6 units/s.
-        assert!((ts.mean_total_slope() - 6.0).abs() < 1e-12);
-        let empty = TimeSeries::new(3, SimDuration::from_secs(1));
-        assert_eq!(empty.mean_total_slope(), 0.0);
-    }
-
-    #[test]
-    fn crossings() {
-        let ts = series();
-        assert_eq!(ts.first_crossing(3.5), Some(SimTime::from_secs(2)));
-        assert_eq!(ts.first_crossing(2.5), Some(SimTime::from_secs(1)));
-        assert_eq!(ts.first_crossing(100.0), None);
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = series().totals_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "time_s,total");
-        assert!(lines[2].starts_with("1.000,"));
-    }
-
-    #[test]
-    #[should_panic]
-    fn width_mismatch_panics() {
-        let mut ts = TimeSeries::new(2, SimDuration::from_secs(1));
-        ts.push(SimTime::ZERO, &[1.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_order_panics() {
-        let mut ts = TimeSeries::new(1, SimDuration::from_secs(1));
-        ts.push(SimTime::from_secs(2), &[1.0]);
-        ts.push(SimTime::from_secs(1), &[1.0]);
-    }
 
     #[test]
     fn interval_series_never_reallocates_within_capacity() {

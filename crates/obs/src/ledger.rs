@@ -238,18 +238,22 @@ impl ObsReport {
         NodeId::new(self.nodes)
     }
 
-    /// Replays every [`EventKind::Span`] through fresh meters of
-    /// `model`, returning per-node joules.
+    /// Replays every [`EventKind::Span`] that starts before `end`
+    /// through fresh meters of `model`, returning per-node joules.
+    /// Spans cover whole beacon intervals, so at an interval boundary
+    /// `end` this is each node's energy trajectory sampled there;
+    /// `SimTime::MAX` replays the whole run.
     ///
     /// **Reconciliation invariant:** because spans are recorded adjacent
     /// to the simulator's own `accumulate` calls with identical
     /// arguments — and the `(at, node, seq)` order preserves each
-    /// node's accumulation order — the result equals the report's
-    /// per-node energy *to the bit*, for every scheme and fault plan.
-    pub fn replay_energy(&self, model: EnergyModel) -> Vec<f64> {
+    /// node's accumulation order — the whole-run result equals the
+    /// report's per-node energy *to the bit*, for every scheme and
+    /// fault plan.
+    pub fn replay_energy(&self, model: EnergyModel, end: SimTime) -> Vec<f64> {
         let mut meters: Vec<EnergyMeter> =
             (0..self.nodes).map(|_| EnergyMeter::new(model)).collect();
-        for e in &self.events {
+        for e in self.events.iter().take_while(|e| e.at < end) {
             if let EventKind::Span { state, nanos } = e.kind {
                 let i = e.node.index();
                 if i < meters.len() {
@@ -350,6 +354,8 @@ mod tests {
         let mut mirror: Vec<EnergyMeter> = (0..3).map(|_| EnergyMeter::new(model)).collect();
         // Irregular durations exercise f64 accumulation order.
         let durs = [3_333_333u64, 77_777_777, 250_000_000, 1, 199_999_999];
+        // The mirror's totals at the 750 ms boundary (after k = 2).
+        let mut at_750ms = Vec::new();
         for (k, &d) in durs.iter().enumerate() {
             let t = SimTime::from_millis(250 * k as u64);
             for (i, m) in mirror.iter_mut().enumerate() {
@@ -363,15 +369,18 @@ mod tests {
                 l.record_span(t, id, state, dur);
                 m.accumulate(state, dur);
             }
+            if k == 2 {
+                at_750ms = mirror.iter().map(EnergyMeter::total_joules).collect();
+            }
         }
-        let replayed = l.into_report().replay_energy(model);
-        for (i, m) in mirror.iter().enumerate() {
-            assert_eq!(
-                replayed[i].to_bits(),
-                m.total_joules().to_bits(),
-                "node {i}"
-            );
-        }
+        let report = l.into_report();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let whole: Vec<f64> = mirror.iter().map(EnergyMeter::total_joules).collect();
+        assert_eq!(bits(&report.replay_energy(model, SimTime::MAX)), bits(&whole));
+        assert_eq!(
+            bits(&report.replay_energy(model, SimTime::from_millis(750))),
+            bits(&at_750ms)
+        );
     }
 
     #[test]

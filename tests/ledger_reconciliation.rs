@@ -8,8 +8,11 @@
 //! interval)` span in the ledger, in the same per-node accumulation
 //! order — any missed, duplicated or reordered accumulation changes
 //! the f64 operation sequence and fails the `to_bits` comparison.
+//! The spans also close each node's wall clock: awake + sleep + off
+//! adds up to the run's duration to the nanosecond.
 
-use randomcast::{run_sim, FaultsConfig, Scheme, SimConfig, SimDuration};
+use randomcast::obs::EventKind;
+use randomcast::{run_sim, FaultsConfig, Scheme, SimConfig, SimDuration, SimTime};
 
 fn smoke(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::smoke(scheme, 0);
@@ -35,6 +38,7 @@ fn faulted(scheme: Scheme) -> SimConfig {
 
 fn assert_reconciles(cfg: SimConfig, label: &str) {
     let energy_model = cfg.energy;
+    let duration_ns = cfg.duration.as_nanos();
     let report = run_sim(cfg).expect("valid config");
     let obs = report.obs.as_ref().expect("obs was requested");
     assert_eq!(
@@ -44,7 +48,17 @@ fn assert_reconciles(cfg: SimConfig, label: &str) {
     );
     assert!(!obs.events().is_empty(), "{label}: ledger must not be empty");
 
-    let replayed = obs.replay_energy(energy_model);
+    let mut span_ns = vec![0u64; obs.nodes() as usize];
+    for e in obs.events() {
+        if let EventKind::Span { nanos, .. } = e.kind {
+            span_ns[e.node.index()] += nanos;
+        }
+    }
+    for (i, &ns) in span_ns.iter().enumerate() {
+        assert_eq!(ns, duration_ns, "{label}: node {i} spans cover {ns} ns");
+    }
+
+    let replayed = obs.replay_energy(energy_model, SimTime::MAX);
     let reported = report.energy.per_node_joules();
     assert_eq!(replayed.len(), reported.len(), "{label}: node count");
     for (i, (r, e)) in replayed.iter().zip(reported).enumerate() {
@@ -85,8 +99,6 @@ fn every_scheme_reconciles_joule_exact_under_faults() {
 /// the matching fault markers.
 #[test]
 fn faulted_ledger_carries_crash_markers_and_off_spans() {
-    use randomcast::obs::EventKind;
-
     let cfg = faulted(Scheme::Rcast);
     let report = run_sim(cfg).expect("valid config");
     let obs = report.obs.as_ref().expect("obs was requested");
